@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"mediaworm"
 	"mediaworm/internal/experiments"
@@ -142,6 +143,49 @@ func BenchmarkSingleRun(b *testing.B) {
 		if _, err := mediaworm.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFabricTick measures one fabric cycle — every router's Step, every
+// NI's step and the traffic events due in that cycle — on the paper's single
+// switch and fat mesh and on a generated 8×8 torus, all at light load (0.4,
+// 80:20 mix). Each iteration advances a warmed-up Sim by one cycle period;
+// when a Sim reaches the end of its window a fresh one is built and warmed
+// off the clock.
+func BenchmarkFabricTick(b *testing.B) {
+	for _, topo := range []mediaworm.Topology{mediaworm.SingleSwitch, mediaworm.FatMesh2x2, "torus8x8c1"} {
+		b.Run(string(topo), func(b *testing.B) {
+			cfg := mediaworm.DefaultConfig()
+			cfg.Topology = topo
+			cfg.Load = 0.4
+			cfg.RTShare = 0.8
+			cfg = cfg.Scale(0.01)
+			cfg.Warmup = cfg.FrameInterval
+			cfg.Measure = 8 * cfg.FrameInterval
+			period := cfg.CyclePeriod()
+			var s *mediaworm.Sim
+			var t time.Duration
+			start := func() {
+				var err error
+				if s, err = mediaworm.NewSim(cfg); err != nil {
+					b.Fatal(err)
+				}
+				t = cfg.Warmup
+				s.RunTo(t)
+			}
+			start()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if t+period > s.End() {
+					b.StopTimer()
+					start()
+					b.StartTimer()
+				}
+				t += period
+				s.RunTo(t)
+			}
+		})
 	}
 }
 

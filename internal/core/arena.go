@@ -5,11 +5,12 @@ import "mediaworm/internal/flit"
 // Arena is a struct-of-arrays backing store for router hot state. A fabric
 // builder allocates one arena sized for all of its routers, and every router
 // carves its per-port/per-VC tables — input VCs, output VCs, flit buffer
-// rings, link-health flags, port counters, and crossbar-request nodes — as
-// contiguous subslices of the shared slabs. The result is a handful of large
-// allocations per fabric instead of O(routers × ports × VCs) small ones, and
-// same-kind state packed contiguously across routers, which is what keeps a
-// 256-router torus cache-friendly. See DESIGN.md §18.
+// rings, link-health flags, VC occupancy masks, port counters, and
+// crossbar-request nodes — as contiguous subslices of the shared slabs. The
+// result is a handful of large allocations per fabric instead of
+// O(routers × ports × VCs) small ones, and same-kind state packed
+// contiguously across routers, which is what keeps a 256-router torus
+// cache-friendly. See DESIGN.md §18.
 //
 // An arena is single-goroutine, like the routers it backs. Carving is
 // construction-time only; the hot path never touches the arena itself.
@@ -18,6 +19,7 @@ type Arena struct {
 	outv   []outVC     // backing slab; the owning routers serialize their views
 	flits  []flit.Flit // backing slab; ring contents serialize through the owning routers
 	health []bool      // backing slab; the owning routers serialize their views
+	occ    [][2]uint64 // backing slab; derived occupancy masks, recomputed on restore
 	pstats []PortStats // backing slab; the owning routers serialize their views
 	reqs   []reqNode   // backing slab; request queues serialize through the owning routers
 }
@@ -47,6 +49,7 @@ func NewArena(routers int, cfg Config) *Arena {
 		outv:   make([]outVC, 0, routers*pv),
 		flits:  make([]flit.Flit, 0, routers*flits),
 		health: make([]bool, 0, routers*health),
+		occ:    make([][2]uint64, 0, routers*2*cfg.Ports), // input + output mask per port
 		pstats: make([]PortStats, 0, routers*cfg.Ports),
 		reqs:   make([]reqNode, 0, routers*reqCap),
 	}
@@ -88,6 +91,15 @@ func (a *Arena) grabHealth(n int) []bool {
 	off := len(a.health)
 	a.health = a.health[:off+n]
 	return a.health[off : off+n : off+n]
+}
+
+func (a *Arena) grabOcc(n int) [][2]uint64 {
+	if a == nil || len(a.occ)+n > cap(a.occ) {
+		return make([][2]uint64, n)
+	}
+	off := len(a.occ)
+	a.occ = a.occ[:off+n]
+	return a.occ[off : off+n : off+n]
 }
 
 func (a *Arena) grabPortStats(n int) []PortStats {

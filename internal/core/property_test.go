@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"mediaworm/internal/flit"
 	"mediaworm/internal/rng"
 	"mediaworm/internal/sched"
 	"mediaworm/internal/sim"
+	"mediaworm/internal/snapshot"
 )
 
 // seqCapture records delivery order per message and counts flits.
@@ -41,10 +44,67 @@ type upstreamVC struct {
 
 func (u *upstreamVC) done() bool { return u.mi == len(u.msgs) }
 
+// occupancyCovers checks the occupancy-mask invariant against the real VC
+// state: every input VC that is not idle, buffers flits or is receiving a
+// message, and every output VC with staged flits or a holder, has its bit
+// set. Step skips clear bits, so a missed set would strand that VC's state.
+func occupancyCovers(r *Router) error {
+	for p := range r.outs {
+		for v := 0; v < r.nvc; v++ {
+			bit := uint64(1) << uint(v&63)
+			in := r.inAt(p, v)
+			if (in.phase != vcIdle || !in.q.empty() || in.recvMsg != nil) && r.inOcc[p][v>>6]&bit == 0 {
+				return fmt.Errorf("input VC %d/%d (phase %d, %d flits, receiving %v) has a clear occupancy bit",
+					p, v, in.phase, in.q.len(), in.recvMsg != nil)
+			}
+			ov := r.outAt(p, v)
+			if (!ov.stage.empty() || ov.busy != nil) && r.outOcc[p][v>>6]&bit == 0 {
+				return fmt.Errorf("output VC %d/%d (%d staged, held %v) has a clear occupancy bit",
+					p, v, ov.stage.len(), ov.busy != nil)
+			}
+		}
+	}
+	return nil
+}
+
+// roundTrip checkpoints r through EncodeState and restores the state into a
+// freshly built router wired to the same consumers, which RestoreState
+// leaves with recomputed occupancy masks.
+func roundTrip(t *testing.T, r *Router, consumers []Consumer) *Router {
+	t.Helper()
+	tbl := flit.NewMsgTable()
+	r.CollectMessages(tbl)
+	w := snapshot.NewWriter()
+	if err := r.EncodeState(w, tbl); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.Flush(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snapshot.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(r.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, c := range consumers {
+		fresh.Connect(p, c, true)
+	}
+	if err := fresh.RestoreState(rd, tbl); err != nil {
+		t.Fatal(err)
+	}
+	return fresh
+}
+
 // TestPropertyConservationAndOrder drives randomized router configurations
 // with randomized wormhole traffic and checks the core invariants: every
 // injected flit is delivered exactly once, per-message flit order is
-// preserved, destinations are respected, and the router quiesces.
+// preserved, destinations are respected, and the router quiesces. After
+// every Step the occupancy masks must cover the occupied VCs, including
+// after a mid-trial checkpoint round trip.
 func TestPropertyConservationAndOrder(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		r := rng.NewStream(77, "core-property").Split(uint64(trial))
@@ -68,8 +128,10 @@ func TestPropertyConservationAndOrder(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		caps := make([]*seqCapture, ports)
+		consumers := make([]Consumer, ports)
 		for p := 0; p < ports; p++ {
 			caps[p] = newSeqCapture(t)
+			consumers[p] = caps[p]
 			router.Connect(p, caps[p], true)
 		}
 
@@ -132,6 +194,15 @@ func TestPropertyConservationAndOrder(t *testing.T) {
 			}
 			router.Step(now)
 			now += period
+			if err := occupancyCovers(router); err != nil {
+				t.Fatalf("trial %d cycle %d: %v", trial, cycle, err)
+			}
+			if cycle == 40 {
+				router = roundTrip(t, router, consumers)
+				if err := occupancyCovers(router); err != nil {
+					t.Fatalf("trial %d after restore: %v", trial, err)
+				}
+			}
 			if progressed || !router.Quiesced() {
 				idle = 0
 			} else {

@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mediaworm/internal/flit"
 	"mediaworm/internal/obs"
@@ -316,6 +317,14 @@ type Router struct {
 	// Everything below is construction-time configuration, derived state a
 	// restore rebuilds, or per-cycle scratch — outside the snapshot
 	// contract.
+	//
+	// inOcc and outOcc are per-port occupancy masks over the input and
+	// output VCs (bit v%64 of word v/64). A bit is set whenever its VC may
+	// hold state and cleared when a walk finds the VC empty, so the set
+	// bits are a superset of the occupied VCs and Step walks only those
+	// (DESIGN.md §19).
+	inOcc     [][2]uint64                      //mw:snapcover — derived; RestoreState recomputes
+	outOcc    [][2]uint64                      //mw:snapcover — derived; RestoreState recomputes
 	cfg       Config                           //mw:snapcover — run-immutable config; RestoreSim rebuilds the router from the checkpoint's embedded config and re-validates against it
 	nvc       int                              //mw:snapcover — copy of cfg.VCs, the flat-index stride
 	fullXb    bool                             //mw:snapcover — derived from cfg at construction
@@ -331,6 +340,7 @@ type Router struct {
 	picked     []int8            //mw:snapcover — per-cycle scratch
 	feeder     []int32           //mw:snapcover — per-cycle scratch (flat input-VC index per crossbar output, -1 = none)
 	feederCand []sched.Candidate //mw:snapcover — per-cycle scratch
+	fed        [][2]uint64       //mw:snapcover — per-cycle scratch (per-port mask of crossbar outputs with a feeder)
 	trc        *obs.Tracer       //mw:snapcover — observability sink (nil = disabled); tracing refuses checkpoints
 	fromArena  bool              //mw:snapcover — construction-time provenance flag, no run state
 }
@@ -365,6 +375,8 @@ func New(cfg Config) (*Router, error) {
 	health := a.grabHealth(2 * cfg.Ports)
 	r.linkUp, r.stalled = health[:cfg.Ports:cfg.Ports], health[cfg.Ports:]
 	r.portStats = a.grabPortStats(cfg.Ports)
+	occ := a.grabOcc(2 * cfg.Ports)
+	r.inOcc, r.outOcc = occ[:cfg.Ports:cfg.Ports], occ[cfg.Ports:]
 	r.routeBuf = make([]int, 0, cfg.Ports)
 	r.routeCand = make([]int, 0, cfg.Ports)
 	for p := range r.linkUp {
@@ -406,6 +418,26 @@ func (r *Router) inAt(p, v int) *inVC { return &r.inv[p*r.nvc+v] }
 
 // outAt returns the output VC at (port, vc) in the flat table.
 func (r *Router) outAt(p, v int) *outVC { return &r.outv[p*r.nvc+v] }
+
+// occMark sets VC v's bit in a per-port occupancy mask. Walks clear bits
+// in place with m[w] &^= b & -b, b being the walk's remaining word.
+func occMark(m *[2]uint64, v int) { m[v>>6] |= 1 << uint(v&63) }
+
+// recomputeOcc rebuilds the occupancy masks exactly from the VC state —
+// the restore path, since the masks are derived and never serialized.
+func (r *Router) recomputeOcc() {
+	for p := range r.outs {
+		r.inOcc[p], r.outOcc[p] = [2]uint64{}, [2]uint64{}
+		for v := 0; v < r.nvc; v++ {
+			if in := r.inAt(p, v); in.phase != vcIdle || !in.q.empty() || in.recvMsg != nil {
+				occMark(&r.inOcc[p], v)
+			}
+			if ov := r.outAt(p, v); !ov.stage.empty() || ov.busy != nil {
+				occMark(&r.outOcc[p], v)
+			}
+		}
+	}
+}
 
 // ID returns the router's fabric identifier.
 func (r *Router) ID() int { return r.cfg.ID }
@@ -640,6 +672,7 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 		in.recvMsg = nil // tail delivered; VC free for the next message
 	}
 	in.q.push(f)
+	occMark(&r.inOcc[p], vc)
 }
 
 // Step advances the router one cycle ending at time now. The fabric calls
@@ -648,9 +681,24 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 //mw:hotpath
 func (r *Router) Step(now sim.Time) {
 	r.now = now
+	if r.idle() {
+		return
+	}
 	r.routeAndArbitrate(now)
 	r.switchTraversal(now)
 	r.transmit(now)
+}
+
+// idle reports whether every occupancy mask is clear and no request list
+// holds nodes (retired ones included: the stage-3 pass frees them), so a
+// Step would change nothing but the clock.
+func (r *Router) idle() bool {
+	for p := range r.outs {
+		if r.inOcc[p] != [2]uint64{} || r.outOcc[p] != [2]uint64{} || r.outs[p].reqHead >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // routeAndArbitrate implements pipeline stages 2–3 for header flits:
@@ -659,56 +707,67 @@ func (r *Router) Step(now sim.Time) {
 func (r *Router) routeAndArbitrate(now sim.Time) {
 	// Stage 2: dead-message reaping, then routing decision + request
 	// submission. Reaping first keeps killed worms from occupying VCs or
-	// submitting requests.
+	// submitting requests. Only VCs whose occupancy bit is set are visited;
+	// one found idle, empty and not receiving drops its bit.
 	for p := 0; p < len(r.outs); p++ {
-		for v := 0; v < r.nvc; v++ {
-			in := &r.inv[p*r.nvc+v]
-			r.reapInVC(p, in)
-			if in.phase != vcIdle || in.q.empty() {
-				continue
-			}
-			head := in.q.peek()
-			if head.Enq >= now { // stage-1 synchronization: not yet visible
-				continue
-			}
-			if !head.IsHeader() {
-				panic("core: non-header flit at head of idle VC")
-			}
-			msg := head.Msg
-			cands := r.liveRoute(msg)
-			if len(cands) == 0 {
-				// No live route (all candidate links down, or the routing
-				// function found the destination unreachable): kill the
-				// message so its buffered flits are reclaimed rather than
-				// blocking the VC forever. Retransmission retries it once
-				// a route recovers.
-				msg.Kill()
-				r.stats.MessagesKilled++
-				r.traceKill(p, msg, obs.CauseNoRoute)
+		occ := &r.inOcc[p]
+		for w := range occ {
+			for b := occ[w]; b != 0; b &= b - 1 {
+				v := w<<6 | bits.TrailingZeros64(b)
+				in := &r.inv[p*r.nvc+v]
 				r.reapInVC(p, in)
-				continue
-			}
-			out := cands[0]
-			if len(cands) > 1 {
-				// Fat links: pick the currently least-loaded candidate
-				// (§3.4), ties to the lower port index.
-				best, bestLoad := cands[0], r.portLoad(cands[0])
-				for _, c := range cands[1:] {
-					if l := r.portLoad(c); l < bestLoad {
-						best, bestLoad = c, l
-					}
+				if in.phase != vcIdle {
+					continue
 				}
-				out = best
+				if in.q.empty() {
+					if in.recvMsg == nil {
+						occ[w] &^= b & -b
+					}
+					continue
+				}
+				head := in.q.peek()
+				if head.Enq >= now { // stage-1 synchronization: not yet visible
+					continue
+				}
+				if !head.IsHeader() {
+					panic("core: non-header flit at head of idle VC")
+				}
+				msg := head.Msg
+				cands := r.liveRoute(msg)
+				if len(cands) == 0 {
+					// No live route (all candidate links down, or the
+					// routing function found the destination unreachable):
+					// kill the message so its buffered flits are reclaimed
+					// rather than blocking the VC forever. Retransmission
+					// retries it once a route recovers.
+					msg.Kill()
+					r.stats.MessagesKilled++
+					r.traceKill(p, msg, obs.CauseNoRoute)
+					r.reapInVC(p, in)
+					continue
+				}
+				out := cands[0]
+				if len(cands) > 1 {
+					// Fat links: pick the currently least-loaded candidate
+					// (§3.4), ties to the lower port index.
+					best, bestLoad := cands[0], r.portLoad(cands[0])
+					for _, c := range cands[1:] {
+						if l := r.portLoad(c); l < bestLoad {
+							best, bestLoad = c, l
+						}
+					}
+					out = best
+				}
+				in.headMsg = msg
+				in.outPort = out
+				in.phase = vcRequested
+				in.reqSeq = r.seq
+				n := r.allocReq()
+				r.reqNodes[n] = reqNode{in: int32(p*r.nvc + v), next: -1, at: now, seq: r.seq}
+				r.pushReq(&r.outs[out], n)
+				r.seq++
+				r.stats.RequestsQueued++
 			}
-			in.headMsg = msg
-			in.outPort = out
-			in.phase = vcRequested
-			in.reqSeq = r.seq
-			n := r.allocReq()
-			r.reqNodes[n] = reqNode{in: int32(p*r.nvc + v), next: -1, at: now, seq: r.seq}
-			r.pushReq(&r.outs[out], n)
-			r.seq++
-			r.stats.RequestsQueued++
 		}
 	}
 	// Stage 3: virtual-channel allocation, FCFS per output port. Requests
@@ -743,6 +802,7 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 			}
 			if !op.endpoint || r.cfg.ExclusiveEndpointVCs {
 				r.outAt(p, vc).busy = in.headMsg
+				occMark(&r.outOcc[p], vc)
 			}
 			in.outVC = vc
 			in.phase = vcActive
@@ -876,12 +936,15 @@ func (r *Router) SetRTVCs(n int) {
 func (r *Router) portLoad(p int) int {
 	op := &r.outs[p]
 	load := int(op.reqLen - op.stale) // retired nodes carry no load
-	for v := 0; v < r.nvc; v++ {
-		ov := &r.outv[p*r.nvc+v]
-		if ov.busy != nil {
-			load++
+	for w, word := range r.outOcc[p] {
+		for b := word; b != 0; b &= b - 1 {
+			v := w<<6 | bits.TrailingZeros64(b)
+			ov := &r.outv[p*r.nvc+v]
+			if ov.busy != nil {
+				load++
+			}
+			load += ov.stage.len()
 		}
-		load += ov.stage.len()
 	}
 	return load
 }
@@ -893,8 +956,6 @@ func (r *Router) portLoad(p int) int {
 // Full crossbar: every eligible VC forwards one flit (each input VC has a
 // dedicated crossbar port).
 func (r *Router) switchTraversal(now sim.Time) {
-	cands := r.cands
-	defer func() { r.cands = cands }()
 	if r.fullXb {
 		r.fullTraversal(now)
 		return
@@ -914,37 +975,44 @@ func (r *Router) switchTraversal(now sim.Time) {
 	// First allocator iteration: each input port's multiplexer picks its
 	// scheduler-preferred eligible flit among outputs not yet claimed this
 	// cycle. The starting port rotates so no port is structurally favoured.
+	// VCs are visited in ascending order over the occupancy mask: a clear
+	// bit means an idle, empty VC, which contributes no candidate and no
+	// blocking count.
 	start := int(now/r.cfg.Period) % n
+	cands := r.cands
 	for k := 0; k < n; k++ {
 		p := (start + k) % n
 		cands = cands[:0]
-		for v := 0; v < r.nvc; v++ {
-			in := &r.inv[p*r.nvc+v]
-			if claimed[in.outPort] && in.phase == vcActive {
-				r.stats.BlockedClaimed++
-				if !in.q.empty() {
-					r.traceBlock(in, now, obs.CauseClaimed)
-				}
-				continue
-			}
-			if !r.vcEligible(in, now) {
-				if !in.q.empty() {
-					switch {
-					case in.phase != vcActive:
-						r.stats.BlockedNotGranted++
-						r.traceBlock(in, now, obs.CauseNotGranted)
-					case in.grantedAt >= now || in.q.peek().Enq >= now:
-						r.stats.BlockedJustMoved++
-						r.traceBlock(in, now, obs.CauseJustMoved)
-					default:
-						r.stats.BlockedStageFull++
-						r.traceBlock(in, now, obs.CauseStageFull)
+		for w, word := range r.inOcc[p] {
+			for b := word; b != 0; b &= b - 1 {
+				v := w<<6 | bits.TrailingZeros64(b)
+				in := &r.inv[p*r.nvc+v]
+				if claimed[in.outPort] && in.phase == vcActive {
+					r.stats.BlockedClaimed++
+					if !in.q.empty() {
+						r.traceBlock(in, now, obs.CauseClaimed)
 					}
+					continue
 				}
-				continue
+				if !r.vcEligible(in, now) {
+					if !in.q.empty() {
+						switch {
+						case in.phase != vcActive:
+							r.stats.BlockedNotGranted++
+							r.traceBlock(in, now, obs.CauseNotGranted)
+						case in.grantedAt >= now || in.q.peek().Enq >= now:
+							r.stats.BlockedJustMoved++
+							r.traceBlock(in, now, obs.CauseJustMoved)
+						default:
+							r.stats.BlockedStageFull++
+							r.traceBlock(in, now, obs.CauseStageFull)
+						}
+					}
+					continue
+				}
+				head := in.q.peek()
+				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 			}
-			head := in.q.peek()
-			cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 		}
 		if len(cands) == 0 {
 			continue
@@ -955,6 +1023,7 @@ func (r *Router) switchTraversal(now sim.Time) {
 		r.claimedBy[out] = int8(p)
 		r.picked[p] = int8(w)
 	}
+	r.cands = cands
 	if r.cfg.AllocatorIterations < 2 {
 		for p := 0; p < n; p++ {
 			if w := r.picked[p]; w >= 0 {
@@ -976,29 +1045,35 @@ func (r *Router) switchTraversal(now sim.Time) {
 			continue
 		}
 	vcLoop:
-		for v := 0; v < r.nvc; v++ {
-			in := &r.inv[p*r.nvc+v]
-			if in.phase != vcActive || !claimed[in.outPort] || !r.vcEligible(in, now) {
-				continue
-			}
-			j := r.claimedBy[in.outPort]
-			if j < 0 || r.picked[j] < 0 {
-				continue
-			}
-			for jv := 0; jv < r.nvc; jv++ {
-				alt := &r.inv[int(j)*r.nvc+jv]
-				if jv == int(r.picked[j]) || alt.phase != vcActive ||
-					claimed[alt.outPort] || !r.vcEligible(alt, now) {
+		for w, word := range r.inOcc[p] {
+			for b := word; b != 0; b &= b - 1 {
+				v := w<<6 | bits.TrailingZeros64(b)
+				in := &r.inv[p*r.nvc+v]
+				if in.phase != vcActive || !claimed[in.outPort] || !r.vcEligible(in, now) {
 					continue
 				}
-				// Re-point input j to the free output and hand the
-				// contested one to p.
-				claimed[alt.outPort] = true
-				r.claimedBy[alt.outPort] = j
-				r.picked[j] = int8(jv)
-				r.claimedBy[in.outPort] = int8(p)
-				r.picked[p] = int8(v)
-				break vcLoop
+				j := r.claimedBy[in.outPort]
+				if j < 0 || r.picked[j] < 0 {
+					continue
+				}
+				for jw, jword := range r.inOcc[j] {
+					for jb := jword; jb != 0; jb &= jb - 1 {
+						jv := jw<<6 | bits.TrailingZeros64(jb)
+						alt := &r.inv[int(j)*r.nvc+jv]
+						if jv == int(r.picked[j]) || alt.phase != vcActive ||
+							claimed[alt.outPort] || !r.vcEligible(alt, now) {
+							continue
+						}
+						// Re-point input j to the free output and hand the
+						// contested one to p.
+						claimed[alt.outPort] = true
+						r.claimedBy[alt.outPort] = j
+						r.picked[j] = int8(jv)
+						r.claimedBy[in.outPort] = int8(p)
+						r.picked[p] = int8(v)
+						break vcLoop
+					}
+				}
 			}
 		}
 	}
@@ -1017,33 +1092,53 @@ func (r *Router) switchTraversal(now sim.Time) {
 // cycle — so the scheduling points are the crossbar output (here) and the
 // physical-channel VC multiplexer (stage 5), matching §3.3's full-crossbar
 // analysis.
+//
+// Input VCs are visited over the occupancy masks in ascending flat order,
+// and each claimed crossbar output is recorded in the fed mask, so the
+// forwarding pass visits only fed outputs — in ascending flat order, as a
+// full sweep would — and resets their feeder slots for the next cycle.
 func (r *Router) fullTraversal(now sim.Time) {
 	m := r.nvc
-	total := len(r.outs) * m
-	if len(r.feeder) < total {
+	if r.feeder == nil {
+		total := len(r.outs) * m
 		r.feeder = make([]int32, total)               //mw:hotpath — lazy one-time sizing to ports×VCs; never reallocated after
 		r.feederCand = make([]sched.Candidate, total) //mw:hotpath — lazy one-time sizing to ports×VCs; never reallocated after
-	}
-	for i := 0; i < total; i++ {
-		r.feeder[i] = -1
-	}
-	for i := range r.inv {
-		in := &r.inv[i]
-		if !r.vcEligible(in, now) {
-			continue
-		}
-		head := in.q.peek()
-		c := sched.Candidate{VC: i % m, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
-		key := in.outPort*m + in.outVC
-		if r.feeder[key] < 0 || sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
-			r.feeder[key] = int32(i)
-			r.feederCand[key] = c
+		r.fed = make([][2]uint64, len(r.outs))        //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
+		for i := range r.feeder {
+			r.feeder[i] = -1
 		}
 	}
-	for i := 0; i < total; i++ {
-		if r.feeder[i] >= 0 {
-			r.forward(&r.inv[r.feeder[i]], now)
+	for p := range r.outs {
+		for w, word := range r.inOcc[p] {
+			for b := word; b != 0; b &= b - 1 {
+				v := w<<6 | bits.TrailingZeros64(b)
+				i := p*m + v
+				in := &r.inv[i]
+				if !r.vcEligible(in, now) {
+					continue
+				}
+				head := in.q.peek()
+				c := sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(i)}
+				key := in.outPort*m + in.outVC
+				if r.feeder[key] < 0 {
+					occMark(&r.fed[in.outPort], in.outVC)
+				} else if !sched.Better(r.cfg.Policy, c, r.feederCand[key]) {
+					continue
+				}
+				r.feeder[key] = int32(i)
+				r.feederCand[key] = c
+			}
 		}
+	}
+	for op := range r.fed {
+		for w, word := range r.fed[op] {
+			for b := word; b != 0; b &= b - 1 {
+				key := op*m + (w<<6 | bits.TrailingZeros64(b))
+				r.forward(&r.inv[r.feeder[key]], now)
+				r.feeder[key] = -1
+			}
+		}
+		r.fed[op] = [2]uint64{}
 	}
 }
 
@@ -1086,6 +1181,7 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 	f.TS = ov.clk.Stamp(now, f.Msg.Vtick)
 	f.Enq = now
 	ov.stage.push(f)
+	occMark(&r.outOcc[in.outPort], in.outVC)
 	r.stats.FlitsSwitched++
 	if f.IsTail() {
 		in.phase = vcIdle
@@ -1102,38 +1198,51 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 // transmit implements stage 5: each output physical channel sends one flit
 // per cycle, chosen by the VC multiplexer among staged flits with downstream
 // credit.
+//
+// Only output VCs whose occupancy bit is set are visited, in ascending
+// order; one found with an empty stage and no holder drops its bit. A port
+// with a clear mask has nothing staged, so it neither transmits nor stalls.
 func (r *Router) transmit(now sim.Time) {
 	cands := r.cands
-	defer func() { r.cands = cands }()
 	for p := 0; p < len(r.outs); p++ {
+		occ := &r.outOcc[p]
+		if *occ == [2]uint64{} {
+			continue
+		}
 		op := &r.outs[p]
 		staged := 0
 		cands = cands[:0]
-		for v := 0; v < r.nvc; v++ {
-			ov := &r.outv[p*r.nvc+v]
-			// Reap dead worms at this output: staged flits of killed
-			// messages are dropped (head-first; a dead worm's flits are
-			// flushed within a few cycles even on shared endpoint VCs),
-			// and a killed holder releases the VC.
-			for !ov.stage.empty() && ov.stage.peek().Msg.Dead {
-				ov.stage.pop()
-				r.dropFlit(p)
+		for w := range occ {
+			for b := occ[w]; b != 0; b &= b - 1 {
+				v := w<<6 | bits.TrailingZeros64(b)
+				ov := &r.outv[p*r.nvc+v]
+				// Reap dead worms at this output: staged flits of killed
+				// messages are dropped (head-first; a dead worm's flits are
+				// flushed within a few cycles even on shared endpoint VCs),
+				// and a killed holder releases the VC.
+				for !ov.stage.empty() && ov.stage.peek().Msg.Dead {
+					ov.stage.pop()
+					r.dropFlit(p)
+				}
+				if ov.busy != nil && ov.busy.Dead {
+					ov.busy = nil
+				}
+				if ov.stage.empty() {
+					if ov.busy == nil {
+						occ[w] &^= b & -b
+					}
+					continue
+				}
+				staged++
+				head := ov.stage.peek()
+				if head.Enq >= now { // staged this cycle; send next
+					continue
+				}
+				if !op.consumer.HasCredit(v) {
+					continue
+				}
+				cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 			}
-			if ov.busy != nil && ov.busy.Dead {
-				ov.busy = nil
-			}
-			if ov.stage.empty() {
-				continue
-			}
-			staged++
-			head := ov.stage.peek()
-			if head.Enq >= now { // staged this cycle; send next
-				continue
-			}
-			if !op.consumer.HasCredit(v) {
-				continue
-			}
-			cands = append(cands, sched.Candidate{VC: v, TS: head.TS, Enq: head.Enq, Seq: uint64(v)})
 		}
 		if !r.linkUp[p] || r.stalled[p] {
 			// A dead or stalled link transmits nothing. Staged flits on a
@@ -1175,6 +1284,7 @@ func (r *Router) transmit(now sim.Time) {
 		op.consumer.Accept(v, f)
 		r.stats.FlitsTransmitted++
 	}
+	r.cands = cands
 }
 
 // Blocked describes one input VC whose worm holds buffer space while waiting

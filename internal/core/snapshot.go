@@ -242,6 +242,7 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 			sched.RestoreVClock(rd, &ov.clk)
 		}
 	}
+	r.recomputeOcc()
 	return rd.Err()
 }
 

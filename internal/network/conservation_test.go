@@ -24,6 +24,23 @@ func accounted(fab *network.Fabric, nis []*network.NI, sinks []*network.Sink) (d
 	return delivered, dropped, fab.Work()
 }
 
+// checkNIOccupancy checks every NI's occupancy mask against its injection
+// queues once per cycle until the horizon.
+func checkNIOccupancy(t *testing.T, eng *sim.Engine, fab *network.Fabric, nis []*network.NI, horizon sim.Time) {
+	var check func()
+	check = func() {
+		for _, ni := range nis {
+			if err := network.NIOccupancyCovers(ni); err != nil {
+				t.Fatalf("t=%v: %v", eng.Now(), err)
+			}
+		}
+		if eng.Now()+fab.Period <= horizon {
+			eng.After(fab.Period, check)
+		}
+	}
+	eng.At(0, check)
+}
+
 // oneHopWorm builds a short-haul worm that cannot participate in a ring
 // cycle: it needs only its local ring link plus the destination endpoint.
 func oneHopWorm(id uint64, src int) *flit.Message {
@@ -34,9 +51,11 @@ func oneHopWorm(id uint64, src int) *flit.Message {
 
 // TestFlitConservationFaultFree checks the ledger on a clean run — the
 // invariant injected = delivered + dropped + in-flight must hold at every
-// instant, with the dropped term identically zero.
+// instant, with the dropped term identically zero — and the NI occupancy
+// masks every cycle.
 func TestFlitConservationFaultFree(t *testing.T) {
 	eng, fab, nis, sinks := buildRing(t)
+	checkNIOccupancy(t, eng, fab, nis, 20*sim.Microsecond)
 	var injected uint64
 	var id uint64
 	for round := 0; round < 5; round++ {
@@ -79,9 +98,11 @@ func TestFlitConservationFaultFree(t *testing.T) {
 
 // TestFlitConservationWithKilledWorm kills a message mid-flight and checks
 // the same ledger balances through the drop path, with the routers'
-// per-port drop counters agreeing with their totals.
+// per-port drop counters agreeing with their totals. The NI occupancy
+// masks are checked every cycle through the reap path.
 func TestFlitConservationWithKilledWorm(t *testing.T) {
 	eng, fab, nis, sinks := buildRing(t)
+	checkNIOccupancy(t, eng, fab, nis, 5*sim.Microsecond)
 	victim := oneHopWorm(1, 0)
 	survivor := oneHopWorm(2, 2)
 	nis[0].Inject(0, victim)

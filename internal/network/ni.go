@@ -1,6 +1,8 @@
 package network
 
 import (
+	"math/bits"
+
 	"mediaworm/internal/core"
 	"mediaworm/internal/flit"
 	"mediaworm/internal/obs"
@@ -32,7 +34,7 @@ func (q *msgQueue) pop() *flit.Message {
 	return m
 }
 
-// maxVCs bounds the stack-allocated candidate array in the NI's hot path.
+// maxVCs bounds an NI's VC count so its occupancy mask fits one word.
 const maxVCs = 64
 
 // niVC is one virtual channel's injection queue at a network interface.
@@ -58,6 +60,10 @@ type NI struct {
 	Node int //mw:snapcover — endpoint identity, set by newNI
 	vcs  []niVC
 	arb  sched.Arbiter
+	// occ has bit v set while injection VC v may hold messages: Inject sets
+	// it and step clears it when reaping leaves the queue empty, so step
+	// walks the set bits instead of every VC (DESIGN.md §19).
+	occ uint64 //mw:snapcover — derived; RestoreState recomputes
 	// cands is the arbitration scratch buffer, reused every cycle so the
 	// hot path does not allocate.
 	cands []sched.Candidate //mw:snapcover — per-cycle scratch
@@ -147,6 +153,7 @@ func (n *NI) Inject(vc int, msg *flit.Message) {
 	}
 	n.queued += msg.Flits
 	n.vcs[vc].q.push(msg)
+	n.occ |= 1 << uint(vc)
 	if n.trc != nil {
 		n.trc.Emit(obs.Event{At: msg.Injected, Kind: obs.EvInject,
 			Router: int16(n.router.ID()), Port: int16(n.port), VC: int16(vc),
@@ -247,13 +254,20 @@ func (n *NI) reap(nv *niVC) {
 	}
 }
 
-// step transmits at most one flit onto the injection link this cycle.
+// step transmits at most one flit onto the injection link this cycle. It
+// visits the VCs of the occupancy mask in ascending order; after the walk
+// the mask is exact, so a non-zero mask with no candidate is a stall.
 func (n *NI) step(now sim.Time) {
 	cands := n.cands[:0]
-	for v := range n.vcs {
+	for b := n.occ; b != 0; b &= b - 1 {
+		v := bits.TrailingZeros64(b)
 		nv := &n.vcs[v]
 		n.reap(nv)
-		if nv.q.empty() || !n.router.HasCredit(n.port, v) {
+		if nv.q.empty() {
+			n.occ &^= b & -b
+			continue
+		}
+		if !n.router.HasCredit(n.port, v) {
 			continue
 		}
 		head := nv.q.peek()
@@ -276,7 +290,7 @@ func (n *NI) step(now sim.Time) {
 	}
 	n.cands = cands
 	if len(cands) == 0 {
-		if !n.Empty() {
+		if n.occ != 0 {
 			n.Stalls++
 			n.traceStall(now, true)
 		} else {

@@ -166,6 +166,7 @@ func (n *NI) RestoreState(r *snapshot.Reader, tbl *flit.MsgTable) error {
 	if err := sched.RestoreArbiter(r, n.arb); err != nil {
 		return fmt.Errorf("NI node %d: %w", n.Node, err)
 	}
+	n.occ = 0
 	for v := range n.vcs {
 		nv := &n.vcs[v]
 		qlen := r.Len()
@@ -182,6 +183,7 @@ func (n *NI) RestoreState(r *snapshot.Reader, tbl *flit.MsgTable) error {
 				}
 			}
 			nv.q.push(m)
+			n.occ |= 1 << uint(v)
 		}
 		nv.sent = r.Int()
 		sched.RestoreVClock(r, &nv.clk)

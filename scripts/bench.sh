@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench.sh — run the engine and router benchmark suite and emit a
+# bench.sh — run the engine, router, NI and fabric-tick benchmark suite and emit a
 # machine-readable summary (BENCH_PR10.json by default).
 #
 # Dependency-free: go, git and awk only. Knobs via environment:
@@ -27,6 +27,8 @@ run() { # pkg bench-regexp benchtime
 
 run ./internal/sim/ 'BenchmarkScheduleAndRun|BenchmarkEngine' "$BENCHTIME"
 run ./internal/core/ 'BenchmarkRouter' "$BENCHTIME"
+run ./internal/network/ 'BenchmarkNIStep' "$BENCHTIME"
+run . 'BenchmarkFabricTick' "$BENCHTIME"
 run . 'BenchmarkSingleRun$' "$SINGLE_BENCHTIME"
 
 awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
