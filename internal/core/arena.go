@@ -19,7 +19,7 @@ type Arena struct {
 	outv   []outVC     // backing slab; the owning routers serialize their views
 	flits  []flit.Flit // backing slab; ring contents serialize through the owning routers
 	health []bool      // backing slab; the owning routers serialize their views
-	occ    [][2]uint64 // backing slab; derived occupancy masks, recomputed on restore
+	occ    [][2]uint64 // backing slab; derived occupancy and idle masks, recomputed on restore
 	pstats []PortStats // backing slab; the owning routers serialize their views
 	reqs   []reqNode   // backing slab; request queues serialize through the owning routers
 }
@@ -49,7 +49,7 @@ func NewArena(routers int, cfg Config) *Arena {
 		outv:   make([]outVC, 0, routers*pv),
 		flits:  make([]flit.Flit, 0, routers*flits),
 		health: make([]bool, 0, routers*health),
-		occ:    make([][2]uint64, 0, routers*2*cfg.Ports), // input + output mask per port
+		occ:    make([][2]uint64, 0, routers*3*cfg.Ports), // input, output and idle mask per port
 		pstats: make([]PortStats, 0, routers*cfg.Ports),
 		reqs:   make([]reqNode, 0, routers*reqCap),
 	}

@@ -67,6 +67,62 @@ func occupancyCovers(r *Router) error {
 	return nil
 }
 
+// idleCovers checks the idle-mask invariant: every vcIdle input VC has its
+// idle bit set. While no message has died stage 2 walks only idle bits, so
+// a missed set would strand the VC's next header.
+func idleCovers(r *Router) error {
+	for p := range r.outs {
+		for v := 0; v < r.nvc; v++ {
+			if r.inAt(p, v).phase == vcIdle && r.inIdle[p][v>>6]&(1<<uint(v&63)) == 0 {
+				return fmt.Errorf("idle input VC %d/%d has a clear idle bit", p, v)
+			}
+		}
+	}
+	return nil
+}
+
+// noHiddenDeaths checks the death-flag invariant: while the flag is clear,
+// no buffered or staged flit, receiving or head message, or output-VC
+// holder is dead. The clear flag skips every dead-worm check, so a dead
+// message behind it would never be reaped.
+func noHiddenDeaths(r *Router) error {
+	if r.deaths.Raised() {
+		return nil
+	}
+	dead := func(m *flit.Message) bool { return m != nil && m.Dead }
+	deadIn := func(rg *ring) bool {
+		for i := 0; i < rg.n; i++ {
+			if rg.buf[(rg.head+i)%len(rg.buf)].Msg.Dead {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range r.inv {
+		in := &r.inv[i]
+		if deadIn(&in.q) || dead(in.recvMsg) || dead(in.headMsg) {
+			return fmt.Errorf("input VC %d holds a dead message under a clear death flag", i)
+		}
+	}
+	for i := range r.outv {
+		if ov := &r.outv[i]; deadIn(&ov.stage) || dead(ov.busy) {
+			return fmt.Errorf("output VC %d holds a dead message under a clear death flag", i)
+		}
+	}
+	return nil
+}
+
+// checkDerived runs every derived-state invariant: the occupancy and idle
+// masks cover the VC state, and the death flag hides no dead message.
+func checkDerived(r *Router) error {
+	for _, check := range []func(*Router) error{occupancyCovers, idleCovers, noHiddenDeaths} {
+		if err := check(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // roundTrip checkpoints r through EncodeState and restores the state into a
 // freshly built router wired to the same consumers, which RestoreState
 // leaves with recomputed occupancy masks.
@@ -103,8 +159,9 @@ func roundTrip(t *testing.T, r *Router, consumers []Consumer) *Router {
 // with randomized wormhole traffic and checks the core invariants: every
 // injected flit is delivered exactly once, per-message flit order is
 // preserved, destinations are respected, and the router quiesces. After
-// every Step the occupancy masks must cover the occupied VCs, including
-// after a mid-trial checkpoint round trip.
+// every Step the occupancy and idle masks must cover the VC state and the
+// clear death flag must hide no dead message, including after a mid-trial
+// checkpoint round trip.
 func TestPropertyConservationAndOrder(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		r := rng.NewStream(77, "core-property").Split(uint64(trial))
@@ -194,12 +251,12 @@ func TestPropertyConservationAndOrder(t *testing.T) {
 			}
 			router.Step(now)
 			now += period
-			if err := occupancyCovers(router); err != nil {
+			if err := checkDerived(router); err != nil {
 				t.Fatalf("trial %d cycle %d: %v", trial, cycle, err)
 			}
 			if cycle == 40 {
 				router = roundTrip(t, router, consumers)
-				if err := occupancyCovers(router); err != nil {
+				if err := checkDerived(router); err != nil {
 					t.Fatalf("trial %d after restore: %v", trial, err)
 				}
 			}

@@ -58,8 +58,8 @@ func TestRemoveRequestCompactsAndZeroes(t *testing.T) {
 	}
 	nodes := len(r.reqNodes)
 
-	msgs[1].Kill()
-	msgs[2].Kill()
+	r.kill(msgs[1])
+	r.kill(msgs[2])
 	r.Step(4 * period)
 
 	live := reqIdxs(r, 1)
@@ -121,7 +121,7 @@ func TestRetiredRequestCoexistsWithResubmission(t *testing.T) {
 		t.Fatalf("queued requests = %d, want 1", len(got))
 	}
 
-	dead.Kill()
+	r.kill(dead)
 	r.Step(5 * period) // reap retires dead's entry, next's header resubmits
 	live := reqIdxs(r, 1)
 	if len(live) != 1 || live[0] != 1 || r.inv[1].headMsg != next {
@@ -179,5 +179,79 @@ func TestSetLinkUpZeroesClearedRequests(t *testing.T) {
 	}
 	if !blocker.Dead || !waiter.Dead {
 		t.Fatal("messages straddling or routed to the dead link not killed")
+	}
+}
+
+// TestRequestWithoutRouteKillsAndReaps covers the no-route kill as the only
+// kill a router sees: a header whose destination the routing function
+// cannot reach is killed in stage 2, and the rest of its worm, still
+// arriving from upstream, must be reaped on arrival rather than queued
+// behind a header that is gone. The kill must raise the death flag, or the
+// arrival check that drops those flits is skipped.
+func TestRequestWithoutRouteKillsAndReaps(t *testing.T) {
+	cfg := testConfig(sched.VirtualClock)
+	cfg.Route = func(_ int, m *flit.Message, buf []int) []int {
+		if m.Dst < 0 {
+			return buf // unreachable
+		}
+		return append(buf, m.Dst)
+	}
+	r, caps := build(t, cfg)
+	lost := msg(1, -1, 0, 6, 100)
+	r.Deliver(0, 0, flit.Flit{Msg: lost, Seq: 0, Enq: period})
+	r.Step(2 * period) // stage 2 finds no route and kills the header
+	if !lost.Dead || !r.deaths.Raised() {
+		t.Fatalf("no-route header not killed through the death flag: dead=%v raised=%v",
+			lost.Dead, r.deaths.Raised())
+	}
+	tm := 3 * period
+	for s := 1; s < lost.Flits; s++ {
+		r.Deliver(0, 0, flit.Flit{Msg: lost, Seq: s, Enq: tm})
+		r.Step(tm)
+		tm += period
+	}
+	next := msg(2, 1, 0, 2, 100)
+	tm = deliver(r, 0, 0, next, tm)
+	run(r, tm, 20)
+	if !r.Quiesced() {
+		t.Fatal("router did not quiesce")
+	}
+	if st := r.Stats(); st.MessagesKilled != 1 || st.FlitsDropped != uint64(lost.Flits) {
+		t.Fatalf("killed %d messages, dropped %d flits; want 1 and %d",
+			st.MessagesKilled, st.FlitsDropped, lost.Flits)
+	}
+	if len(caps[1].flits) != next.Flits {
+		t.Fatalf("the next message on the VC delivered %d/%d flits", len(caps[1].flits), next.Flits)
+	}
+}
+
+// TestRestoreRaisesDeathFlag checkpoints a router holding a killed worm and
+// restores it into a fresh router: the death flag is not serialized, so the
+// restore must raise it from the dead message, or the fresh router would
+// skip reaping and forward the dead worm.
+func TestRestoreRaisesDeathFlag(t *testing.T) {
+	r, _ := build(t, reqConfig())
+	dead := msg(1, 1, 0, 4, 100)
+	live := msg(2, 1, 1, 2, 100)
+	deliver(r, 0, 0, dead, period)
+	deliver(r, 0, 1, live, period)
+	r.Step(3 * period)
+	r.kill(dead)
+	caps := []*capture{{}, {}}
+	restored := roundTrip(t, r, []Consumer{caps[0], caps[1]})
+	if !restored.deaths.Raised() {
+		t.Fatal("restore left the death flag clear with a dead message in the checkpoint")
+	}
+	run(restored, 4*period, 40)
+	if !restored.Quiesced() {
+		t.Fatal("restored router did not quiesce")
+	}
+	for _, f := range caps[1].flits {
+		if f.Msg == nil || f.Msg.ID == dead.ID {
+			t.Fatalf("restored router forwarded a flit of the dead message")
+		}
+	}
+	if len(caps[1].flits) != live.Flits {
+		t.Fatalf("live message delivered %d/%d flits", len(caps[1].flits), live.Flits)
 	}
 }

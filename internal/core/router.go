@@ -323,8 +323,19 @@ type Router struct {
 	// hold state and cleared when a walk finds the VC empty, so the set
 	// bits are a superset of the occupied VCs and Step walks only those
 	// (DESIGN.md §19).
-	inOcc     [][2]uint64                      //mw:snapcover — derived; RestoreState recomputes
-	outOcc    [][2]uint64                      //mw:snapcover — derived; RestoreState recomputes
+	inOcc  [][2]uint64 //mw:snapcover — derived; RestoreState recomputes
+	outOcc [][2]uint64 //mw:snapcover — derived; RestoreState recomputes
+	// inIdle is a per-port superset mask of the vcIdle input VCs: a bit is
+	// set wherever its VC enters vcIdle and cleared when stage 2 finds the
+	// VC non-idle or moves it to vcRequested. While no message has died,
+	// stage 2 walks only inOcc & inIdle — the VCs where it can change
+	// anything (DESIGN.md §19).
+	inIdle [][2]uint64 //mw:snapcover — derived; RestoreState recomputes
+	// deaths is the fabric's "a message has died" flag (ownDeaths until a
+	// fabric shares its own); while it is clear nothing is dead, so every
+	// per-cycle dead-worm check is skipped.
+	deaths    *DeathFlag                       //mw:snapcover — derived; RestoreState raises it when a restored message is dead
+	ownDeaths DeathFlag                        //mw:snapcover — derived; see deaths
 	cfg       Config                           //mw:snapcover — run-immutable config; RestoreSim rebuilds the router from the checkpoint's embedded config and re-validates against it
 	nvc       int                              //mw:snapcover — copy of cfg.VCs, the flat-index stride
 	fullXb    bool                             //mw:snapcover — derived from cfg at construction
@@ -332,10 +343,9 @@ type Router struct {
 	corrupt   func(port int, f flit.Flit) bool //mw:snapcover — fault-injection hook; fault runs refuse checkpoints
 	routeBuf  []int                            //mw:snapcover — per-cycle scratch for health-filtered routing candidates
 	routeCand []int                            //mw:snapcover — per-cycle scratch handed to the routing function
-	// cands, claimed, claimedBy and picked are per-cycle scratch buffers,
-	// reused so the hot path does not allocate.
+	// cands, claimedBy and picked are per-cycle scratch buffers, reused so
+	// the hot path does not allocate.
 	cands      []sched.Candidate //mw:snapcover — per-cycle scratch
-	claimed    []bool            //mw:snapcover — per-cycle scratch
 	claimedBy  []int8            //mw:snapcover — per-cycle scratch
 	picked     []int8            //mw:snapcover — per-cycle scratch
 	feeder     []int32           //mw:snapcover — per-cycle scratch (flat input-VC index per crossbar output, -1 = none)
@@ -359,6 +369,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	a := cfg.Arena
 	r := &Router{cfg: cfg, rtVCs: cfg.RTVCs, nvc: cfg.VCs, fullXb: cfg.FullCrossbar}
+	r.deaths = &r.ownDeaths
 	pv, _, _, reqCap := arenaShape(cfg)
 	r.cands = make([]sched.Candidate, 0, cfg.VCs)
 	invBefore := 0
@@ -375,8 +386,9 @@ func New(cfg Config) (*Router, error) {
 	health := a.grabHealth(2 * cfg.Ports)
 	r.linkUp, r.stalled = health[:cfg.Ports:cfg.Ports], health[cfg.Ports:]
 	r.portStats = a.grabPortStats(cfg.Ports)
-	occ := a.grabOcc(2 * cfg.Ports)
-	r.inOcc, r.outOcc = occ[:cfg.Ports:cfg.Ports], occ[cfg.Ports:]
+	occ := a.grabOcc(3 * cfg.Ports)
+	np := cfg.Ports
+	r.inOcc, r.outOcc, r.inIdle = occ[:np:np], occ[np:2*np:2*np], occ[2*np:]
 	r.routeBuf = make([]int, 0, cfg.Ports)
 	r.routeCand = make([]int, 0, cfg.Ports)
 	for p := range r.linkUp {
@@ -394,6 +406,7 @@ func New(cfg Config) (*Router, error) {
 		r.outs[p].arb = sched.NewArbiter(cfg.Policy, cfg.Sched)
 		r.outs[p].reqHead, r.outs[p].reqTail = -1, -1
 	}
+	r.recomputeOcc() // every VC starts idle
 	if cfg.Tracer.Enabled() {
 		r.trc = cfg.Tracer
 		r.trc.RegisterRouter(cfg.ID, cfg.Ports, cfg.VCs)
@@ -423,20 +436,42 @@ func (r *Router) outAt(p, v int) *outVC { return &r.outv[p*r.nvc+v] }
 // in place with m[w] &^= b & -b, b being the walk's remaining word.
 func occMark(m *[2]uint64, v int) { m[v>>6] |= 1 << uint(v&63) }
 
-// recomputeOcc rebuilds the occupancy masks exactly from the VC state —
-// the restore path, since the masks are derived and never serialized.
+// recomputeOcc rebuilds the occupancy and idle masks exactly from the VC
+// state — at construction and on restore, since the masks are derived and
+// never serialized.
 func (r *Router) recomputeOcc() {
 	for p := range r.outs {
-		r.inOcc[p], r.outOcc[p] = [2]uint64{}, [2]uint64{}
+		r.inOcc[p], r.outOcc[p], r.inIdle[p] = [2]uint64{}, [2]uint64{}, [2]uint64{}
 		for v := 0; v < r.nvc; v++ {
-			if in := r.inAt(p, v); in.phase != vcIdle || !in.q.empty() || in.recvMsg != nil {
+			in := r.inAt(p, v)
+			if in.phase != vcIdle || !in.q.empty() || in.recvMsg != nil {
 				occMark(&r.inOcc[p], v)
+			}
+			if in.phase == vcIdle {
+				occMark(&r.inIdle[p], v)
 			}
 			if ov := r.outAt(p, v); !ov.stage.empty() || ov.busy != nil {
 				occMark(&r.outOcc[p], v)
 			}
 		}
 	}
+}
+
+// markIdle records that input VC in has entered vcIdle.
+func (r *Router) markIdle(in *inVC) { occMark(&r.inIdle[in.port], int(in.vcIdx)) }
+
+// kill marks msg dead through the router's death flag — the one way the
+// router kills a message (link failure, no live route, corruption).
+func (r *Router) kill(msg *flit.Message) { r.deaths.Kill(msg) }
+
+// ShareDeathFlag makes the router raise and read d, its fabric's shared
+// death flag, instead of its own. A flag the router already raised carries
+// over.
+func (r *Router) ShareDeathFlag(d *DeathFlag) {
+	if r.deaths.raised {
+		d.raised = true
+	}
+	r.deaths = d
 }
 
 // ID returns the router's fabric identifier.
@@ -533,6 +568,7 @@ func (r *Router) SetLinkUp(p int, up bool) {
 			in := &r.inv[r.reqNodes[n].in]
 			in.phase = vcIdle
 			in.headMsg = nil
+			r.markIdle(in)
 		}
 		r.freeReq(n)
 		n = next
@@ -544,14 +580,14 @@ func (r *Router) SetLinkUp(p int, up bool) {
 		ov := r.outAt(p, v)
 		for !ov.stage.empty() {
 			f := ov.stage.pop()
-			f.Msg.Kill()
+			r.kill(f.Msg)
 			r.dropFlit(p)
 		}
 		if ov.busy != nil {
 			if !ov.busy.Dead {
 				r.traceKill(p, ov.busy, obs.CauseLinkDown)
 			}
-			ov.busy.Kill()
+			r.kill(ov.busy)
 			ov.busy = nil
 		}
 	}
@@ -563,7 +599,7 @@ func (r *Router) SetLinkUp(p int, up bool) {
 			if !in.headMsg.Dead {
 				r.traceKill(p, in.headMsg, obs.CauseLinkDown)
 			}
-			in.headMsg.Kill()
+			r.kill(in.headMsg)
 		}
 	}
 }
@@ -641,7 +677,8 @@ func (r *Router) HasCredit(p, vc int) bool {
 // this contention point's Virtual Clock. Callers must respect HasCredit.
 func (r *Router) Deliver(p, vc int, f flit.Flit) {
 	in := &r.inv[p*r.nvc+vc]
-	if f.Msg.Dead {
+	dead := r.deaths.raised // clear: no message is dead, so skip the checks
+	if dead && f.Msg.Dead {
 		// The message was killed while this flit crossed the link: reap it
 		// at arrival so the buffer slot is never consumed. Receive-side
 		// tracking is released here; wormhole contiguity guarantees any
@@ -653,7 +690,7 @@ func (r *Router) Deliver(p, vc int, f flit.Flit) {
 		return
 	}
 	if f.IsHeader() {
-		if in.recvMsg != nil && in.recvMsg.Dead {
+		if dead && in.recvMsg != nil && in.recvMsg.Dead {
 			in.recvMsg = nil // dead worm truncated upstream; VC reopens here
 		}
 		if in.recvMsg != nil {
@@ -708,15 +745,27 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 	// Stage 2: dead-message reaping, then routing decision + request
 	// submission. Reaping first keeps killed worms from occupying VCs or
 	// submitting requests. Only VCs whose occupancy bit is set are visited;
-	// one found idle, empty and not receiving drops its bit.
+	// one found idle, empty and not receiving drops its bit. While no
+	// message has died there is nothing to reap, and a non-idle VC has
+	// nothing else to do here, so the walk narrows to the idle-bit VCs.
+	// A no-route kill below raises the flag mid-walk without widening it:
+	// the killed worm sits wholly in its own VC, which it reaps at once, so
+	// the non-idle VCs skipped after it hold nothing dead.
 	for p := 0; p < len(r.outs); p++ {
-		occ := &r.inOcc[p]
+		occ, idle := &r.inOcc[p], &r.inIdle[p]
 		for w := range occ {
-			for b := occ[w]; b != 0; b &= b - 1 {
+			walk := occ[w]
+			if !r.deaths.raised {
+				walk &= idle[w]
+			}
+			for b := walk; b != 0; b &= b - 1 {
 				v := w<<6 | bits.TrailingZeros64(b)
 				in := &r.inv[p*r.nvc+v]
-				r.reapInVC(p, in)
+				if r.deaths.raised {
+					r.reapInVC(p, in)
+				}
 				if in.phase != vcIdle {
+					idle[w] &^= b & -b
 					continue
 				}
 				if in.q.empty() {
@@ -740,7 +789,7 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 					// kill the message so its buffered flits are reclaimed
 					// rather than blocking the VC forever. Retransmission
 					// retries it once a route recovers.
-					msg.Kill()
+					r.kill(msg)
 					r.stats.MessagesKilled++
 					r.traceKill(p, msg, obs.CauseNoRoute)
 					r.reapInVC(p, in)
@@ -761,6 +810,7 @@ func (r *Router) routeAndArbitrate(now sim.Time) {
 				in.headMsg = msg
 				in.outPort = out
 				in.phase = vcRequested
+				idle[w] &^= b & -b
 				in.reqSeq = r.seq
 				n := r.allocReq()
 				r.reqNodes[n] = reqNode{in: int32(p*r.nvc + v), next: -1, at: now, seq: r.seq}
@@ -873,7 +923,8 @@ func (r *Router) liveRoute(msg *flit.Message) []int {
 
 // reapInVC removes dead-message state from one input VC: buffered flits of
 // killed messages are dropped, and a killed head message releases its
-// request or output-VC grant so the resources recirculate.
+// request or output-VC grant so the resources recirculate. Callers skip it
+// while the death flag is clear: there is nothing dead to find.
 func (r *Router) reapInVC(p int, in *inVC) {
 	if in.recvMsg != nil && in.recvMsg.Dead {
 		in.recvMsg = nil
@@ -897,6 +948,7 @@ func (r *Router) reapInVC(p int, in *inVC) {
 		}
 		in.phase = vcIdle
 		in.headMsg = nil
+		r.markIdle(in)
 	}
 }
 
@@ -961,15 +1013,15 @@ func (r *Router) switchTraversal(now sim.Time) {
 		return
 	}
 	n := len(r.outs)
-	if len(r.claimed) < n {
-		r.claimed = make([]bool, n)   //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
+	if len(r.claimedBy) < n {
 		r.claimedBy = make([]int8, n) //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
 		r.picked = make([]int8, n)    //mw:hotpath — lazy one-time sizing to the port count; never reallocated after
 	}
-	claimed := r.claimed
-	for i := range claimed {
-		claimed[i] = false
-		r.claimedBy[i] = -1
+	// claimedBy[o] is the input port holding crossbar output o this cycle
+	// (-1 = unclaimed); picked[p] is the VC input port p forwards from.
+	claimedBy := r.claimedBy
+	for i := range claimedBy {
+		claimedBy[i] = -1
 		r.picked[i] = -1
 	}
 	// First allocator iteration: each input port's multiplexer picks its
@@ -987,7 +1039,7 @@ func (r *Router) switchTraversal(now sim.Time) {
 			for b := word; b != 0; b &= b - 1 {
 				v := w<<6 | bits.TrailingZeros64(b)
 				in := &r.inv[p*r.nvc+v]
-				if claimed[in.outPort] && in.phase == vcActive {
+				if claimedBy[in.outPort] >= 0 && in.phase == vcActive {
 					r.stats.BlockedClaimed++
 					if !in.q.empty() {
 						r.traceBlock(in, now, obs.CauseClaimed)
@@ -1018,9 +1070,7 @@ func (r *Router) switchTraversal(now sim.Time) {
 			continue
 		}
 		w := cands[r.inArbs[p].Pick(cands)].VC
-		out := r.inv[p*r.nvc+w].outPort
-		claimed[out] = true
-		r.claimedBy[out] = int8(p)
+		claimedBy[r.inv[p*r.nvc+w].outPort] = int8(p)
 		r.picked[p] = int8(w)
 	}
 	r.cands = cands
@@ -1049,11 +1099,11 @@ func (r *Router) switchTraversal(now sim.Time) {
 			for b := word; b != 0; b &= b - 1 {
 				v := w<<6 | bits.TrailingZeros64(b)
 				in := &r.inv[p*r.nvc+v]
-				if in.phase != vcActive || !claimed[in.outPort] || !r.vcEligible(in, now) {
+				if in.phase != vcActive || claimedBy[in.outPort] < 0 || !r.vcEligible(in, now) {
 					continue
 				}
-				j := r.claimedBy[in.outPort]
-				if j < 0 || r.picked[j] < 0 {
+				j := claimedBy[in.outPort]
+				if r.picked[j] < 0 {
 					continue
 				}
 				for jw, jword := range r.inOcc[j] {
@@ -1061,15 +1111,14 @@ func (r *Router) switchTraversal(now sim.Time) {
 						jv := jw<<6 | bits.TrailingZeros64(jb)
 						alt := &r.inv[int(j)*r.nvc+jv]
 						if jv == int(r.picked[j]) || alt.phase != vcActive ||
-							claimed[alt.outPort] || !r.vcEligible(alt, now) {
+							claimedBy[alt.outPort] >= 0 || !r.vcEligible(alt, now) {
 							continue
 						}
 						// Re-point input j to the free output and hand the
 						// contested one to p.
-						claimed[alt.outPort] = true
-						r.claimedBy[alt.outPort] = j
+						claimedBy[alt.outPort] = j
 						r.picked[j] = int8(jv)
-						r.claimedBy[in.outPort] = int8(p)
+						claimedBy[in.outPort] = int8(p)
 						r.picked[p] = int8(v)
 						break vcLoop
 					}
@@ -1186,6 +1235,7 @@ func (r *Router) forward(in *inVC, now sim.Time) {
 	if f.IsTail() {
 		in.phase = vcIdle
 		in.headMsg = nil
+		r.markIdle(in)
 		if ov.busy == f.Msg {
 			// Exclusive VC released as the tail enters the staging buffer:
 			// the staging FIFO keeps messages contiguous on the link, so
@@ -1212,6 +1262,7 @@ func (r *Router) transmit(now sim.Time) {
 		op := &r.outs[p]
 		staged := 0
 		cands = cands[:0]
+		dead := r.deaths.raised
 		for w := range occ {
 			for b := occ[w]; b != 0; b &= b - 1 {
 				v := w<<6 | bits.TrailingZeros64(b)
@@ -1220,12 +1271,14 @@ func (r *Router) transmit(now sim.Time) {
 				// messages are dropped (head-first; a dead worm's flits are
 				// flushed within a few cycles even on shared endpoint VCs),
 				// and a killed holder releases the VC.
-				for !ov.stage.empty() && ov.stage.peek().Msg.Dead {
-					ov.stage.pop()
-					r.dropFlit(p)
-				}
-				if ov.busy != nil && ov.busy.Dead {
-					ov.busy = nil
+				if dead {
+					for !ov.stage.empty() && ov.stage.peek().Msg.Dead {
+						ov.stage.pop()
+						r.dropFlit(p)
+					}
+					if ov.busy != nil && ov.busy.Dead {
+						ov.busy = nil
+					}
 				}
 				if ov.stage.empty() {
 					if ov.busy == nil {
@@ -1265,7 +1318,7 @@ func (r *Router) transmit(now sim.Time) {
 		if r.corrupt != nil && r.corrupt(p, f) {
 			// The flit is corrupted on the wire: the whole message is lost
 			// (wormhole has no flit-level recovery) and unravels.
-			f.Msg.Kill()
+			r.kill(f.Msg)
 			r.stats.MessagesKilled++
 			r.traceKill(p, f.Msg, obs.CauseCorrupt)
 			r.dropFlit(p)

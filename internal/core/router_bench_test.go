@@ -92,8 +92,8 @@ func churnIteration(r *Router, pool *flit.Pool, t sim.Time, id *uint64) sim.Time
 			r.Deliver(0, v, flit.Flit{Msg: m, Seq: s, Enq: t})
 		}
 	}
-	msgs[1].Kill()
-	msgs[2].Kill()
+	r.kill(msgs[1])
+	r.kill(msgs[2])
 	for c := 0; c < 24; c++ {
 		r.Step(t)
 		t += period

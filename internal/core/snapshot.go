@@ -243,6 +243,7 @@ func (r *Router) RestoreState(rd *snapshot.Reader, tbl *flit.MsgTable) error {
 		}
 	}
 	r.recomputeOcc()
+	r.deaths.RaiseIfDead(tbl)
 	return rd.Err()
 }
 

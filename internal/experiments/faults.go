@@ -86,6 +86,13 @@ func FaultSweep(opt Options) (*FaultReport, error) {
 }
 
 func runFaultPoint(opt Options, rate float64) (FaultPoint, error) {
+	return runFaultScenario(opt, rate, nil)
+}
+
+// runFaultScenario is runFaultPoint with an optional extra fault schedule:
+// arm, if non-nil, runs after the churn is scheduled and may add outages or
+// corruption on top of it (stop is the end of the traffic window).
+func runFaultScenario(opt Options, rate float64, arm func(in *fault.Injector, net *topology.Net, stop sim.Time)) (FaultPoint, error) {
 	base := baseConfig(opt)
 	const (
 		load    = 0.70
@@ -188,6 +195,9 @@ func runFaultPoint(opt Options, rate float64) (FaultPoint, error) {
 				B: net.Routers[l.B], BPort: l.BPort,
 			}, mtbf, mttr, stop)
 		}
+	}
+	if arm != nil {
+		arm(injector, net, stop)
 	}
 
 	eng.Run(stop)

@@ -82,12 +82,10 @@ type Message struct {
 	// failure, flit corruption, retransmission timeout, or deadlock
 	// recovery). Routers and NIs reap dead messages' flits from their
 	// buffers instead of forwarding them, so the worm unravels and its
-	// buffer space and virtual channels are reclaimed.
+	// buffer space and virtual channels are reclaimed. Kills go through
+	// core.DeathFlag.Kill so the fabric's death flag knows of them.
 	Dead bool
 }
-
-// Kill marks the message dead. Killing an already-dead message is a no-op.
-func (m *Message) Kill() { m.Dead = true }
 
 // IsLastOfFrame reports whether this is the frame's final message.
 func (m *Message) IsLastOfFrame() bool { return m.MsgSeq == m.MsgsInFrame-1 }

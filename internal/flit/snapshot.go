@@ -18,6 +18,7 @@ type MsgTable struct {
 	byID map[uint64]*Message
 	ids  []uint64 // insertion order; sorted on demand by IDs
 	err  error
+	dead bool //mw:snapcover — derived: some registered message was dead, and Encode writes each Dead
 }
 
 // NewMsgTable returns an empty table.
@@ -40,6 +41,7 @@ func (t *MsgTable) Add(m *Message) {
 	}
 	t.byID[m.ID] = m
 	t.ids = append(t.ids, m.ID)
+	t.dead = t.dead || m.Dead
 }
 
 // Err reports an ID conflict detected by Add, if any.
@@ -76,6 +78,10 @@ func (t *MsgTable) Get(id uint64) (*Message, error) {
 
 // Len reports the number of registered messages.
 func (t *MsgTable) Len() int { return len(t.ids) }
+
+// AnyDead reports whether any message was dead when it was registered —
+// for a decoded table, whether the checkpoint holds a dead message.
+func (t *MsgTable) AnyDead() bool { return t.dead }
 
 // Encode writes every registered message, ordered by ID so the byte stream
 // is independent of collection order.

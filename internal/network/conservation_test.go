@@ -115,7 +115,7 @@ func TestFlitConservationWithKilledWorm(t *testing.T) {
 		if victim.Dead {
 			t.Fatal("victim dead before kill")
 		}
-		victim.Kill()
+		network.KillMessage(fab, victim)
 		fab.Wake()
 	})
 	eng.Drain()
@@ -144,5 +144,40 @@ func TestFlitConservationWithKilledWorm(t *testing.T) {
 			t.Fatalf("router %d: per-port drops %d != total %d",
 				i, perPort, r.Stats().FlitsDropped)
 		}
+	}
+}
+
+// TestFlitConservationRetransmitTimeout makes a retransmission timeout the
+// run's only kill: a stalled ring link holds a one-hop worm past its
+// deadline, the timeout kills that attempt and injects a copy, and when the
+// stall lifts the dead attempt must unravel as drops instead of reaching
+// the sink beside its copy. The ledger balances with both attempts counted
+// as injected.
+func TestFlitConservationRetransmitTimeout(t *testing.T) {
+	eng, fab, nis, sinks := buildRing(t)
+	checkNIOccupancy(t, eng, fab, nis, 20*sim.Microsecond)
+	rt := network.NewRetransmitter(fab, 2*sim.Microsecond, 3)
+	ring := fab.Routers[0]
+	ring.SetPortStalled(1, true)
+	m := oneHopWorm(1, 0)
+	nis[0].Inject(0, m)
+	eng.At(3*sim.Microsecond, func() {
+		ring.SetPortStalled(1, false)
+		fab.Wake()
+	})
+	eng.Drain()
+	if err := fab.CheckDrained(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Retransmissions != 1 || rt.Recovered != 1 {
+		t.Fatalf("retransmissions %d, recovered %d; want 1/1", rt.Retransmissions, rt.Recovered)
+	}
+	if got := sinks[1].MessagesReceived; got != 1 {
+		t.Fatalf("sink received %d messages, want only the resent copy", got)
+	}
+	delivered, dropped, inFlight := accounted(fab, nis, sinks)
+	if inFlight != 0 || delivered != uint64(m.Flits) || delivered+dropped != uint64(2*m.Flits) {
+		t.Fatalf("delivered %d + dropped %d (in flight %d), want %d + %d",
+			delivered, dropped, inFlight, m.Flits, m.Flits)
 	}
 }

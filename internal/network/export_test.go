@@ -1,6 +1,10 @@
 package network
 
-import "fmt"
+import (
+	"fmt"
+
+	"mediaworm/internal/flit"
+)
 
 // NIOccupancyCovers checks the NI occupancy-mask invariant against the real
 // injection queues: every VC with a queued message has its bit set. step
@@ -14,3 +18,7 @@ func NIOccupancyCovers(n *NI) error {
 	}
 	return nil
 }
+
+// KillMessage kills m through the fabric's kill helper, as the watchdog and
+// the retransmission layer do, so the death flag is raised with it.
+func KillMessage(f *Fabric, m *flit.Message) { f.kill(m) }

@@ -39,6 +39,10 @@ type Fabric struct {
 	// deltas so injected = delivered + dropped + in-flight always holds.
 	lastRouterDrops []uint64
 	lastNIDrops     []uint64
+	// deaths is the fabric's "a message has died" flag, shared by pointer
+	// with every router and read by every NI (DESIGN.md §19.1). While it is
+	// clear nothing has been reaped, so reconcileDrops has nothing to do.
+	deaths core.DeathFlag //mw:snapcover — derived; restore raises it when a restored message is dead
 
 	// Watchdog state (SetWatchdog). lastMotion snapshots the fabric-wide
 	// progress counter; idleTicks counts cycles with work but no motion.
@@ -80,8 +84,13 @@ func NewFabric(engine *sim.Engine, period sim.Time) *Fabric {
 // AddRouter registers a router with the fabric. Routers step in registration
 // order each cycle, so registration order is part of the deterministic model.
 func (f *Fabric) AddRouter(r *core.Router) {
+	r.ShareDeathFlag(&f.deaths)
 	f.Routers = append(f.Routers, r)
 }
+
+// kill marks msg dead through the fabric's death flag — the one way the
+// network layer kills a message (watchdog victim, retransmission timeout).
+func (f *Fabric) kill(msg *flit.Message) { f.deaths.Kill(msg) }
 
 // ReserveEndpoints preallocates struct-of-arrays slabs for the given number
 // of endpoints (with vcs injection VCs each); subsequent AttachEndpoint
@@ -194,13 +203,18 @@ func (f *Fabric) tick() {
 // reconcileDrops subtracts newly reaped flits (dead-message unraveling,
 // corruption, unroutable kills) from the in-flight work counter. Routers and
 // NIs own the drop counters; the fabric only reads the deltas, so every drop
-// path shares one accounting surface.
+// path shares one accounting surface. Every drop follows a kill, so while
+// the death flag is clear there is nothing to reconcile. The baselines are
+// still sized on the first tick, as checkpoints encode them.
 func (f *Fabric) reconcileDrops() {
 	for len(f.lastRouterDrops) < len(f.Routers) {
 		f.lastRouterDrops = append(f.lastRouterDrops, 0)
 	}
 	for len(f.lastNIDrops) < len(f.NIs) {
 		f.lastNIDrops = append(f.lastNIDrops, 0)
+	}
+	if !f.deaths.Raised() {
+		return
 	}
 	for i, r := range f.Routers {
 		if d := r.Stats().FlitsDropped; d != f.lastRouterDrops[i] {

@@ -243,7 +243,8 @@ func (n *NI) Empty() bool {
 // reap drops dead head messages from a VC's injection queue: the flits not
 // yet transmitted are counted in Dropped (the router reaps the ones already
 // on the wire). Dead messages deeper in the queue are reaped lazily when
-// they reach the head.
+// they reach the head. step skips it while the fabric's death flag is
+// clear: there is nothing dead to find.
 func (n *NI) reap(nv *niVC) {
 	for !nv.q.empty() && nv.q.peek().Dead {
 		msg := nv.q.pop()
@@ -259,10 +260,13 @@ func (n *NI) reap(nv *niVC) {
 // the mask is exact, so a non-zero mask with no candidate is a stall.
 func (n *NI) step(now sim.Time) {
 	cands := n.cands[:0]
+	dead := n.fab.deaths.Raised()
 	for b := n.occ; b != 0; b &= b - 1 {
 		v := bits.TrailingZeros64(b)
 		nv := &n.vcs[v]
-		n.reap(nv)
+		if dead {
+			n.reap(nv)
+		}
 		if nv.q.empty() {
 			n.occ &^= b & -b
 			continue
